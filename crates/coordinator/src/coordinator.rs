@@ -13,13 +13,17 @@
 //! * lifecycle: retention-driven garbage collection after every durable
 //!   checkpoint, and departure purge.
 //!
-//! Retention interacts with delta chains: a retained sidecar's shards
-//! may reference bytes living in *older* iterations' directories
-//! (`base_iteration`). GC therefore keeps the newest `keep_checkpoints`
-//! iterations **plus** every iteration their sidecars reference; the
-//! writer-side chain cap ([`ShardConfig::max_delta_chain`]) bounds how
-//! long those references can pin history, so sustained load reaches a
-//! steady-state object count instead of growing with job age.
+//! Retention interacts with delta chains and with the uploads still in
+//! flight: a retained sidecar's shards may reference bytes living in
+//! *older* iterations' directories (`base_iteration`), and a checkpoint
+//! still uploading has shard objects but no sidecar yet. GC therefore
+//! keeps the newest `keep_checkpoints` iterations that have a sidecar,
+//! **plus** every iteration their sidecars reference, every iteration
+//! this session is still writing, and the bases those writes' plans
+//! reference. The writer-side chain cap
+//! ([`ShardConfig::max_delta_chain`]) bounds how long references can pin
+//! history, so sustained load reaches a steady-state object count
+//! instead of growing with job age.
 
 use crate::object_store::SimObjectStore;
 use cluster::StorageBackend;
@@ -99,6 +103,47 @@ impl JobStats {
     }
 }
 
+/// How far one of a session's checkpoint writes has got.
+enum Progress {
+    /// Registered; no ticket yet (staged write-behind submission, or a
+    /// blocking write in progress).
+    Writing,
+    /// Handed to the write-behind pipeline.
+    Uploading(CkptTicket),
+    /// The blocking write returned.
+    Written,
+}
+
+/// A checkpoint write GC must not collect under: its iteration, and
+/// every iteration its plan may reference as a delta base.
+struct Write {
+    kind: CkptKind,
+    iteration: u64,
+    bases: BTreeSet<u64>,
+    progress: Progress,
+}
+
+impl Write {
+    /// The sidecar landed, or the write failed for good.
+    fn settled(&self) -> bool {
+        match &self.progress {
+            Progress::Writing => false,
+            Progress::Uploading(ticket) => ticket.is_done(),
+            Progress::Written => true,
+        }
+    }
+}
+
+/// A session's registry of checkpoint writes, by id.
+#[derive(Default)]
+struct Writes {
+    by_id: BTreeMap<u64, Write>,
+    next_id: u64,
+    /// GC passes running. Settled writes are dropped only by a pass
+    /// that starts alone (see [`JobSession::gc`]).
+    passes: usize,
+}
+
 /// A job admitted to the coordinator: the handle its ranks checkpoint
 /// through.
 pub struct JobSession {
@@ -109,6 +154,9 @@ pub struct JobSession {
     gate: Arc<JobGate>,
     /// Outstanding write-behind tickets; drained on departure.
     tickets: Mutex<Vec<CkptTicket>>,
+    /// Checkpoints this session has started writing, until a GC pass
+    /// sees them settled.
+    writes: Mutex<Writes>,
     /// Newest-iteration memo per cell: spares delta staging the full
     /// `store.list` scan of `latest_meta_before` on every checkpoint
     /// (entries are validated with one targeted sidecar read, scan on
@@ -165,9 +213,11 @@ impl JobSession {
             &cfg,
             Some(&self.meta_cache),
         );
+        let id = self.begin_write(&plan);
         let ticket = self
             .pipeline
             .submit_to(&self.backend, &plan, Some(&self.gate));
+        self.advance(id, Progress::Uploading(ticket.clone()));
         self.meta_cache
             .record(self.job, kind, stage, part, dp, state.iteration);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -201,10 +251,45 @@ impl JobSession {
             &cfg,
             Some(&self.meta_cache),
         );
-        checkpoint::write_plan(&self.backend, &plan, cfg.workers)?;
+        let id = self.begin_write(&plan);
+        let written = checkpoint::write_plan(&self.backend, &plan, cfg.workers);
+        self.advance(id, Progress::Written);
+        written?;
         self.meta_cache
             .record(self.job, kind, stage, part, dp, state.iteration);
         Ok(())
+    }
+
+    /// Registers a write before any of its objects is put, so a GC pass
+    /// that lists them also finds the write.
+    fn begin_write(&self, plan: &ShardPlan) -> u64 {
+        let bases = plan
+            .base
+            .iter()
+            .flat_map(|b| {
+                let refs = b.shards.iter().filter_map(|s| s.base_iteration);
+                std::iter::once(b.iteration).chain(refs)
+            })
+            .collect();
+        let mut writes = self.writes.lock();
+        let id = writes.next_id;
+        writes.next_id += 1;
+        writes.by_id.insert(
+            id,
+            Write {
+                kind: plan.kind,
+                iteration: plan.iteration,
+                bases,
+                progress: Progress::Writing,
+            },
+        );
+        id
+    }
+
+    fn advance(&self, id: u64, progress: Progress) {
+        if let Some(w) = self.writes.lock().by_id.get_mut(&id) {
+            w.progress = progress;
+        }
     }
 
     /// Restores the resolved checkpoint for `rank` through the parallel
@@ -253,64 +338,82 @@ impl JobSession {
     }
 
     /// Retention GC: keeps the newest `keep_checkpoints` iterations of
-    /// `kind` plus every older iteration their sidecars still reference
-    /// as delta bases; deletes the rest. Returns objects deleted.
-    /// Incomplete iterations (no sidecar anywhere — e.g. a write torn
-    /// by a failure) older than the retention window are swept too.
+    /// `kind` that have a sidecar, every older iteration their sidecars
+    /// still reference as delta bases, and every iteration this session
+    /// is still writing together with the bases its plan references;
+    /// deletes the rest, including iterations with no sidecar and no
+    /// write in flight (e.g. a write torn by a failure). Returns objects
+    /// deleted.
     pub fn gc(&self, kind: CkptKind) -> usize {
+        {
+            let mut writes = self.writes.lock();
+            writes.passes += 1;
+            // A write settled now has its sidecar in any later listing,
+            // so it needs no protection. Only a pass that starts alone
+            // prunes: a running pass needs every write it may have listed
+            // mid-upload to stay registered until it reads the registry.
+            if writes.passes == 1 {
+                writes.by_id.retain(|_, w| !w.settled());
+            }
+        }
+        let deleted = self.sweep(kind);
+        self.writes.lock().passes -= 1;
+        self.stats
+            .gc_deleted
+            .fetch_add(deleted as u64, Ordering::Relaxed);
+        deleted
+    }
+
+    /// One GC pass over `kind`, see [`JobSession::gc`].
+    fn sweep(&self, kind: CkptKind) -> usize {
         let prefix = checkpoint::job_prefix(self.job, kind);
         let mut iterations: BTreeSet<u64> = BTreeSet::new();
-        let mut sidecars: Vec<(u64, String)> = Vec::new();
+        let mut sidecars: BTreeMap<u64, Vec<String>> = BTreeMap::new();
         for path in self.backend.list(&prefix) {
             let Some(it) = iteration_of(&prefix, &path) else {
                 continue;
             };
             iterations.insert(it);
             if path.ends_with("/meta") {
-                sidecars.push((it, path));
+                sidecars.entry(it).or_default().push(path);
             }
         }
-        if iterations.len() <= self.spec.keep_checkpoints {
+        if sidecars.len() <= self.spec.keep_checkpoints {
             return 0;
         }
 
-        let retained: BTreeSet<u64> = iterations
-            .iter()
+        let retained: BTreeMap<u64, Vec<String>> = sidecars
+            .into_iter()
             .rev()
             .take(self.spec.keep_checkpoints.max(1))
-            .copied()
             .collect();
 
+        // Every write registered by now put nothing before registering,
+        // so this covers whatever the listing caught mid-upload.
+        let mut pinned: BTreeSet<u64> = BTreeSet::new();
+        for w in self.writes.lock().by_id.values().filter(|w| w.kind == kind) {
+            pinned.insert(w.iteration);
+            pinned.extend(&w.bases);
+        }
         // Delta bases pinned by retained sidecars. `base_iteration` is
         // collapsed at write time, so one level of chasing suffices.
-        let mut pinned: BTreeSet<u64> = BTreeSet::new();
-        for (it, path) in &sidecars {
-            if !retained.contains(it) {
-                continue;
-            }
+        for path in retained.values().flatten() {
             let Ok(raw) = self.backend.get(path) else {
                 continue;
             };
             let Ok(meta) = simcore::codec::decode_framed::<CheckpointMeta>(&raw) else {
                 continue;
             };
-            for s in &meta.shards {
-                if let Some(base) = s.base_iteration {
-                    pinned.insert(base);
-                }
-            }
+            pinned.extend(meta.shards.iter().filter_map(|s| s.base_iteration));
         }
 
         let mut deleted = 0;
         for it in iterations {
-            if retained.contains(&it) || pinned.contains(&it) {
+            if retained.contains_key(&it) || pinned.contains(&it) {
                 continue;
             }
             deleted += self.backend.delete_prefix(&format!("{prefix}it{it:010}/"));
         }
-        self.stats
-            .gc_deleted
-            .fetch_add(deleted as u64, Ordering::Relaxed);
         deleted
     }
 }
@@ -374,6 +477,7 @@ impl Coordinator {
             backend,
             pipeline: self.pipeline.clone(),
             tickets: Mutex::new(Vec::new()),
+            writes: Mutex::new(Writes::default()),
             meta_cache: MetaCache::new(),
             stats: JobStats::default(),
             spec,

@@ -9,6 +9,8 @@ use coordinator::{
 };
 use dltrain::TrainState;
 use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
+use simcore::layout::ParallelLayout;
+use simcore::sync::{Condvar, Mutex};
 use simcore::{JobId, RankId, SimResult};
 use simgpu::BufferTag;
 use std::sync::Arc;
@@ -224,6 +226,166 @@ fn gc_pins_delta_bases_until_chain_breaks() -> SimResult<()> {
         checkpoint::read_checkpoint(sess.backend(), sess.job(), CkptKind::Jit, 4, 0, 0, 0)?;
     assert_eq!(got, state(4, 200, 1.0));
     assert!(meta.delta_depth > 0, "head should still be a delta");
+    Ok(())
+}
+
+/// A store that parks the sidecar puts of held iterations, so a test can
+/// keep checkpoints in flight, their shards already uploaded, until it
+/// releases them.
+#[derive(Default)]
+struct HeldSidecars {
+    inner: SharedStore,
+    /// (held iterations, sidecar puts parked).
+    gate: Mutex<(Vec<u64>, usize)>,
+    changed: Condvar,
+}
+
+impl HeldSidecars {
+    fn hold(&self, iterations: &[u64]) {
+        let mut gate = self.gate.lock();
+        gate.0 = iterations.to_vec();
+        self.changed.notify_all();
+    }
+
+    fn wait_parked(&self, n: usize) {
+        let mut gate = self.gate.lock();
+        while gate.1 < n {
+            self.changed.wait(&mut gate);
+        }
+    }
+}
+
+impl StorageBackend for HeldSidecars {
+    fn put(&self, path: &str, data: Bytes) -> SimResult<()> {
+        let held = |gate: &(Vec<u64>, usize)| {
+            let its = gate.0.iter();
+            path.ends_with("/meta")
+                && its
+                    .map(|it| format!("/it{it:010}/"))
+                    .any(|d| path.contains(&d))
+        };
+        let mut gate = self.gate.lock();
+        if held(&gate) {
+            gate.1 += 1;
+            self.changed.notify_all();
+            while held(&gate) {
+                self.changed.wait(&mut gate);
+            }
+            gate.1 -= 1;
+        }
+        drop(gate);
+        self.inner.put(path, data)
+    }
+
+    fn get(&self, path: &str) -> SimResult<Bytes> {
+        self.inner.get(path)
+    }
+
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+
+    fn delete(&self, path: &str) {
+        self.inner.delete(path)
+    }
+
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+
+    fn delete_prefix(&self, prefix: &str) -> usize {
+        self.inner.delete_prefix(prefix)
+    }
+
+    fn read_count(&self) -> u64 {
+        self.inner.read_count()
+    }
+
+    fn object_count(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn kind(&self) -> &'static str {
+        "held-sidecars"
+    }
+}
+
+/// Retention GC racing the uploads: GC runs while checkpoints 2 and 3
+/// have their shards stored but not their sidecars. It must count only
+/// iterations with a sidecar toward `keep_checkpoints`, leave both
+/// in-flight iterations alone, and keep iteration 1, which is the only
+/// durable checkpoint and the delta base of 3.
+#[test]
+fn gc_spares_in_flight_checkpoints_and_their_delta_bases() -> SimResult<()> {
+    let store = Arc::new(HeldSidecars::default());
+    let coord = Coordinator::new(store.clone(), CoordinatorConfig::default());
+    let sess = coord.admit(JobSpec {
+        shards: small_shards(),
+        keep_checkpoints: 1,
+        ..JobSpec::default()
+    });
+    sess.submit_checkpoint(CkptKind::Jit, RankId(0), 0, 0, 0, &state(1, 400, 1.0))
+        .wait()?;
+    // Checkpoint 2 rewrites every shard. Checkpoint 3 matches 1 and,
+    // with no sidecar of 2 stored, takes 1 as its delta base.
+    store.hold(&[2, 3]);
+    let t2 = sess.submit_checkpoint(CkptKind::Jit, RankId(0), 0, 0, 0, &state(2, 400, 2.0));
+    let t3 = sess.submit_checkpoint(CkptKind::Jit, RankId(0), 0, 0, 0, &state(3, 400, 1.0));
+    store.wait_parked(2);
+    assert!(!t2.is_done() && !t3.is_done());
+    sess.gc(CkptKind::Jit);
+    store.hold(&[]);
+    sess.drain()?;
+
+    let read =
+        |it| checkpoint::read_checkpoint(sess.backend(), sess.job(), CkptKind::Jit, it, 0, 0, 0);
+    assert_eq!(read(2)?.0, state(2, 400, 2.0));
+    let (got, meta) = read(3)?;
+    assert_eq!(got, state(3, 400, 1.0));
+    assert!(meta.shards.iter().any(|s| s.base_iteration == Some(1)));
+    let layout = ParallelLayout::data_parallel(1);
+    let (restored, _, _) = sess.restore_for_rank(&layout, RankId(0))?;
+    assert_eq!(restored, state(3, 400, 1.0));
+
+    // Settled, the window moves to 3: 2 goes, 1 stays as 3's base.
+    assert!(sess.gc(CkptKind::Jit) > 0);
+    let prefix = checkpoint::job_prefix(sess.job(), CkptKind::Jit);
+    let left = sess.backend().list(&prefix);
+    assert!(!left.iter().any(|p| p.contains("it0000000002")), "{left:?}");
+    assert_eq!(read(3)?.0, state(3, 400, 1.0));
+    Ok(())
+}
+
+/// Out-of-order landing: checkpoint 3 is still uploading when the newer
+/// 4 becomes durable and alone fills the retention window. GC must keep
+/// 3, and 2, the delta base 3's plan took, though no stored sidecar
+/// references either.
+#[test]
+fn gc_keeps_an_in_flight_checkpoint_behind_the_window_and_its_base() -> SimResult<()> {
+    let store = Arc::new(HeldSidecars::default());
+    let coord = Coordinator::new(store.clone(), CoordinatorConfig::default());
+    let sess = coord.admit(JobSpec {
+        shards: small_shards(),
+        keep_checkpoints: 1,
+        ..JobSpec::default()
+    });
+    let submit =
+        |it, v| sess.submit_checkpoint(CkptKind::Jit, RankId(0), 0, 0, 0, &state(it, 400, v));
+    submit(1, 1.0).wait()?;
+    submit(2, 2.0).wait()?;
+    // 3 repeats 2 as a delta; 4 rewrites every shard and lands first.
+    store.hold(&[3]);
+    let t3 = submit(3, 2.0);
+    submit(4, 4.0).wait()?;
+    store.wait_parked(1);
+    sess.gc(CkptKind::Jit);
+    store.hold(&[]);
+    t3.wait()?;
+
+    let (got, meta) =
+        checkpoint::read_checkpoint(sess.backend(), sess.job(), CkptKind::Jit, 3, 0, 0, 0)?;
+    assert_eq!(got, state(3, 400, 2.0));
+    assert!(meta.shards.iter().any(|s| s.base_iteration == Some(2)));
     Ok(())
 }
 

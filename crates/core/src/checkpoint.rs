@@ -48,7 +48,9 @@ use simcore::codec::{decode_framed, encode_framed, Decode, Encode};
 use simcore::layout::ParallelLayout;
 use simcore::sync::Mutex;
 use simcore::{JobId, RankId, SimError, SimResult};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::restore::{RestoreConfig, RestoreStats};
 
 /// Checkpoint flavor (JIT-on-failure or periodic), part of the path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -884,107 +886,122 @@ pub struct CellChoice {
     pub kind: CkptKind,
 }
 
-fn complete_iterations_for_cell<S: StorageBackend + ?Sized>(
+/// A job's resolved checkpoint plan: (stage, partition) → choice.
+type Plan = BTreeMap<(usize, usize), CellChoice>;
+
+/// One validated read: the state, its sidecar, and what the read cost.
+type Restored = (TrainState, CheckpointMeta, RestoreStats);
+
+/// One cell's sidecars: iteration → `(dp, kind)` candidates.
+type Candidates = BTreeMap<u64, Vec<(usize, CkptKind)>>;
+
+/// Every sidecar of `job`, one listing per kind: for each cell of
+/// `layout`, iteration → `(dp, kind)` candidates in preference order
+/// (JIT before periodic, then listing order). Sidecars are only
+/// candidates; nothing here says a checkpoint is complete.
+fn candidates<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
-    kind: CkptKind,
     layout: &ParallelLayout,
-    stage: usize,
-    part: usize,
-) -> BTreeMap<u64, usize> {
-    // iteration → a dp replica with a *valid* checkpoint.
-    let mut out = BTreeMap::new();
-    let prefix = format!("ckpt/{job}/{}/", kind.dir());
-    let cell = format!("s{stage}p{part}");
-    for path in store.list(&prefix) {
-        let Some(rest) = path.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some((iteration, c, dp, leaf)) = parse_rel_path(rest) else {
-            continue;
-        };
-        if leaf != "meta" || c != cell || dp >= layout.dp {
-            continue;
-        }
-        if out.contains_key(&iteration) {
-            continue;
-        }
-        // Validate before accepting: a torn write must not count. The
-        // parallel restore plane fetches the candidate's shards — on a
-        // latency-bound backend, candidate validation is the dominant
-        // assemble cost and overlaps the same way a real restore does.
-        let valid = crate::restore::read_checkpoint_parallel(
-            store,
-            job,
-            kind,
-            iteration,
-            stage,
-            part,
-            dp,
-            &crate::restore::RestoreConfig::default(),
-        )
-        .is_ok();
-        if valid {
-            out.insert(iteration, dp);
+) -> Vec<Candidates> {
+    let cells: BTreeMap<String, usize> = layout
+        .cells()
+        .iter()
+        .enumerate()
+        .map(|(idx, (stage, part))| (format!("s{stage}p{part}"), idx))
+        .collect();
+    let mut per_cell = vec![Candidates::new(); cells.len()];
+    for kind in [CkptKind::Jit, CkptKind::Periodic] {
+        let prefix = job_prefix(job, kind);
+        for path in store.list(&prefix) {
+            let Some(rest) = path.strip_prefix(&prefix) else {
+                continue;
+            };
+            let Some((iteration, cell, dp, leaf)) = parse_rel_path(rest) else {
+                continue;
+            };
+            let Some(&idx) = cells.get(cell) else {
+                continue;
+            };
+            if leaf == "meta" && dp < layout.dp {
+                per_cell[idx].entry(iteration).or_default().push((dp, kind));
+            }
         }
     }
-    out
+    per_cell
+}
+
+/// Resolves the newest iteration complete for **every** cell, newest
+/// first: an iteration is accepted once each cell has a candidate that
+/// passes the full [`crate::restore::read_checkpoint_parallel`]
+/// validation (every shard CRC, delta bases, decode). A torn candidate
+/// falls through to the cell's next candidate, then to an older
+/// iteration. The plan equals an exhaustive validation of every
+/// candidate taking the newest common valid iteration, but iterations
+/// older than the accepted one are never read. Returns the validated
+/// read of cell `keep`, so a restore needs no second read.
+pub(crate) fn resolve<S: StorageBackend + ?Sized>(
+    store: &S,
+    job: JobId,
+    layout: &ParallelLayout,
+    cfg: &RestoreConfig,
+    keep: Option<(usize, usize)>,
+) -> SimResult<(Plan, Option<Restored>)> {
+    let cells = layout.cells();
+    let per_cell = candidates(store, job, layout);
+    let mut common: Option<BTreeSet<u64>> = None;
+    for its in &per_cell {
+        let its: BTreeSet<u64> = its.keys().copied().collect();
+        common = Some(match common {
+            None => its,
+            Some(prev) => prev.intersection(&its).copied().collect(),
+        });
+    }
+    'newest_first: for iteration in common.unwrap_or_default().into_iter().rev() {
+        let mut plan = Plan::new();
+        let mut kept = None;
+        for (its, &(stage, part)) in per_cell.iter().zip(&cells) {
+            let valid = its[&iteration].iter().find_map(|&(dp, kind)| {
+                crate::restore::read_checkpoint_parallel(
+                    store, job, kind, iteration, stage, part, dp, cfg,
+                )
+                .ok()
+                .map(|read| (dp, kind, read))
+            });
+            let Some((dp, kind, read)) = valid else {
+                continue 'newest_first;
+            };
+            if keep == Some((stage, part)) {
+                kept = Some(read);
+            }
+            plan.insert(
+                (stage, part),
+                CellChoice {
+                    iteration,
+                    dp,
+                    kind,
+                },
+            );
+        }
+        return Ok((plan, kept));
+    }
+    Err(SimError::NoCheckpointAvailable(format!(
+        "no iteration has a complete checkpoint for every cell of {job}"
+    )))
 }
 
 /// Resolves, for every (stage, partition) cell, the newest checkpoint
 /// iteration available for **all** cells — discarding corrupt or
 /// incomplete files — and which replica to read it from. Searches both
 /// JIT and periodic checkpoints and takes the newest (the combined
-/// JIT + PC mode of §6.3).
+/// JIT + PC mode of §6.3). Candidates are validated newest first, each
+/// by a full read; the validated bytes are dropped.
 pub fn assemble<S: StorageBackend + ?Sized>(
     store: &S,
     job: JobId,
     layout: &ParallelLayout,
-) -> SimResult<BTreeMap<(usize, usize), CellChoice>> {
-    let cells = layout.cells();
-    // For each cell, map iteration → (dp, kind), preferring JIT files
-    // (either is valid; JIT files are what failure recovery wrote).
-    let mut per_cell: Vec<BTreeMap<u64, (usize, CkptKind)>> = Vec::with_capacity(cells.len());
-    for &(stage, part) in &cells {
-        let mut m: BTreeMap<u64, (usize, CkptKind)> = BTreeMap::new();
-        for kind in [CkptKind::Jit, CkptKind::Periodic] {
-            for (it, dp) in complete_iterations_for_cell(store, job, kind, layout, stage, part) {
-                m.entry(it).or_insert((dp, kind));
-            }
-        }
-        per_cell.push(m);
-    }
-    // Intersect iteration sets across cells; take the max.
-    let mut common: Option<Vec<u64>> = None;
-    for m in &per_cell {
-        let its: Vec<u64> = m.keys().copied().collect();
-        common = Some(match common {
-            None => its,
-            Some(prev) => prev.into_iter().filter(|i| its.contains(i)).collect(),
-        });
-    }
-    let best = common
-        .unwrap_or_default()
-        .into_iter()
-        .max()
-        .ok_or_else(|| {
-            SimError::NoCheckpointAvailable(format!(
-                "no iteration has a complete checkpoint for every cell of {job}"
-            ))
-        })?;
-    let mut out = BTreeMap::new();
-    for (idx, &(stage, part)) in cells.iter().enumerate() {
-        let (dp, kind) = per_cell[idx][&best];
-        out.insert(
-            (stage, part),
-            CellChoice {
-                iteration: best,
-                dp,
-                kind,
-            },
-        );
-    }
-    Ok(out)
+) -> SimResult<Plan> {
+    resolve(store, job, layout, &RestoreConfig::default(), None).map(|(plan, _)| plan)
 }
 
 /// §3.3's `jit_get_checkpoint_path`: the checkpoint directory a restoring
@@ -1008,27 +1025,6 @@ pub fn jit_get_checkpoint_path<S: StorageBackend + ?Sized>(
         coord.part,
         choice.dp,
     ))
-}
-
-/// Loads the resolved checkpoint for `rank` (validated).
-pub fn load_for_rank<S: StorageBackend + ?Sized>(
-    store: &S,
-    job: JobId,
-    layout: &ParallelLayout,
-    rank: RankId,
-) -> SimResult<(TrainState, CheckpointMeta)> {
-    let coord = layout.coord(rank);
-    let plan = assemble(store, job, layout)?;
-    let choice = plan[&(coord.stage, coord.part)];
-    read_checkpoint(
-        store,
-        job,
-        choice.kind,
-        choice.iteration,
-        coord.stage,
-        coord.part,
-        choice.dp,
-    )
 }
 
 #[cfg(test)]

@@ -35,6 +35,12 @@
 //! error are produced by the same helpers both paths share
 //! ([`checkpoint::verify_shard`] / [`checkpoint::finish_restore`]).
 //!
+//! A restore reads its checkpoint once. [`load_for_rank_parallel`]
+//! resolves candidates newest first, validating each with a full read
+//! through this plane, and returns the rank cell's validating read. A
+//! torn candidate costs its own read and falls through to the next
+//! replica or an older iteration; older iterations are never read.
+//!
 //! [`SimObjectStore`]: ../../coordinator/struct.SimObjectStore.html
 
 use bytes::{BufMut, BytesMut};
@@ -42,7 +48,7 @@ use cluster::StorageBackend;
 use dltrain::TrainState;
 use simcore::layout::ParallelLayout;
 use simcore::sync::{Condvar, Mutex};
-use simcore::{JobId, RankId, SimResult};
+use simcore::{JobId, RankId, SimError, SimResult};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -234,8 +240,10 @@ pub fn read_checkpoint_parallel<S: StorageBackend + ?Sized>(
 }
 
 /// Loads the resolved checkpoint for `rank` through the parallel plane:
-/// [`checkpoint::assemble`]'s choice for the rank's cell, fetched
-/// concurrently. The store leg of the recovery fallback chain
+/// [`checkpoint::assemble`]'s choice for the rank's cell, returned from
+/// the very read that validated it — the resolver walks candidates
+/// newest first with `cfg`, so the chosen checkpoint is fetched once.
+/// The store leg of the recovery fallback chain
 /// ([`crate::stream::restore_with_fallback`]) and the streamed-replica
 /// owner's store read both route through this.
 pub fn load_for_rank_parallel<S: StorageBackend + ?Sized>(
@@ -246,18 +254,8 @@ pub fn load_for_rank_parallel<S: StorageBackend + ?Sized>(
     cfg: &RestoreConfig,
 ) -> SimResult<(TrainState, CheckpointMeta, RestoreStats)> {
     let coord = layout.coord(rank);
-    let plan = checkpoint::assemble(store, job, layout)?;
-    let choice = plan[&(coord.stage, coord.part)];
-    read_checkpoint_parallel(
-        store,
-        job,
-        choice.kind,
-        choice.iteration,
-        coord.stage,
-        coord.part,
-        choice.dp,
-        cfg,
-    )
+    let (_, read) = checkpoint::resolve(store, job, layout, cfg, Some((coord.stage, coord.part)))?;
+    read.ok_or_else(|| SimError::Protocol(format!("{rank} has no cell in the layout of {job}")))
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use jitckpt::analysis::{
     wasted_rate_periodic, wasted_rate_periodic_optimal, JobParams,
 };
 use jitckpt::checkpoint::{self, CkptKind};
+use jitckpt::restore::{load_for_rank_parallel, RestoreConfig};
 use jitckpt::transparent::run_transparent_job;
 use proptest::prelude::*;
 use simcore::cost::CostModel;
@@ -16,6 +17,7 @@ use simcore::failure::{FailureKind, FailureSpec, Phase};
 use simcore::layout::ParallelLayout;
 use simcore::{JobId, RankId};
 use simgpu::BufferTag;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 static SEQ: Mutex<()> = Mutex::new(());
@@ -96,50 +98,197 @@ proptest! {
             prop_assert!(res.is_err(), "corruption must not decode cleanly");
         }
     }
+}
+
+proptest! {
+    // Cheap cases (a few KiB of in-memory checkpoints each); many of
+    // them so multi-cell layouts often keep a valid common iteration.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn assembly_always_picks_a_complete_common_iteration(
-        iters_per_cell in proptest::collection::vec(
-            proptest::collection::vec(0u64..6, 1..4),
-            1..3,
-        )
+        cells in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    0..ITERATIONS,
+                    any::<bool>(),
+                    proptest::sample::select(TEARS.to_vec()),
+                    proptest::sample::select(REPLICAS.to_vec()),
+                ),
+                1..6,
+            ),
+            1..4,
+        ),
+        pick in any::<proptest::sample::Index>(),
     ) {
-        // Arbitrary per-cell iteration sets: assembly must return the max
-        // of the intersection, or error when the intersection is empty.
+        // Arbitrary per-cell iterations of either kind, some with a
+        // second dp replica, each replica torn one way or not at all.
+        // Assembly must return the newest iteration valid in every cell,
+        // read from the candidate an exhaustive scan prefers, or fail
+        // when no iteration is valid everywhere.
         let store = SharedStore::new();
-        let pp = iters_per_cell.len();
-        let layout = ParallelLayout::three_d(1, pp, 1);
-        let state = |it: u64| TrainState {
-            iteration: it,
-            opt_t: it as u32,
-            buffers: vec![("w".into(), BufferTag::Param, vec![1.0])],
-            logical_bytes: 4,
-        };
-        for (stage, its) in iters_per_cell.iter().enumerate() {
-            for it in its {
-                checkpoint::write_checkpoint(
-                    &store, JobId(0), CkptKind::Jit, RankId(stage as u32), stage, 0, 0, &state(*it),
-                ).unwrap();
-            }
-        }
-        let mut common: Option<std::collections::BTreeSet<u64>> = None;
-        for its in &iters_per_cell {
-            let s: std::collections::BTreeSet<u64> = its.iter().copied().collect();
-            common = Some(match common {
-                None => s,
-                Some(prev) => prev.intersection(&s).copied().collect(),
-            });
-        }
-        let expect = common.unwrap().into_iter().max();
-        match (checkpoint::assemble(&store, JobId(0), &layout), expect) {
-            (Ok(plan), Some(it)) => {
-                for choice in plan.values() {
-                    prop_assert_eq!(choice.iteration, it);
+        let pp = cells.len();
+        let layout = ParallelLayout::three_d(2, pp, 1);
+        let job = JobId(0);
+        let mut writes: BTreeMap<(usize, CkptKind, usize, u64), Tear> = BTreeMap::new();
+        for (stage, entries) in cells.iter().enumerate() {
+            for &(it, periodic, tear, replica) in entries {
+                let kind = if periodic { CkptKind::Periodic } else { CkptKind::Jit };
+                writes.insert((stage, kind, 0, it), tear);
+                if let Some(tear) = replica {
+                    writes.insert((stage, kind, 1, it), tear);
                 }
             }
-            (Err(_), None) => {}
-            (Ok(plan), None) => prop_assert!(false, "assembled {plan:?} from empty intersection"),
-            (Err(e), Some(it)) => prop_assert!(false, "failed ({e}) though iteration {it} is common"),
+        }
+        // Ascending iterations per (cell, kind, dp): each write takes the
+        // one before as its delta base. Tears come after every write.
+        for &(stage, kind, dp, it) in writes.keys() {
+            checkpoint::write_checkpoint_with(
+                &store, job, kind, RankId(0), stage, 0, dp, &tear_state(stage, it), &TINY_SHARDS,
+            ).unwrap();
+        }
+        for (&(stage, kind, dp, it), &tear) in &writes {
+            tear_checkpoint(&store, (stage, kind, dp, it), tear);
+            if matches!(tear, Tear::FlipByte | Tear::DeleteShard | Tear::SidecarOnly) {
+                let read = checkpoint::read_checkpoint(&store, job, kind, it, stage, 0, dp);
+                prop_assert!(read.is_err(), "{tear:?} left it {it} of s{stage} dp{dp} valid");
+            }
+        }
+
+        // The exhaustive oracle, through the serial reader: per cell and
+        // iteration the first valid candidate, JIT before periodic, then
+        // replica order; then the newest iteration valid in every cell.
+        let first_valid = |stage: usize, it: u64| {
+            [CkptKind::Jit, CkptKind::Periodic].into_iter().find_map(|kind| {
+                (0..2usize)
+                    .find(|&dp| checkpoint::read_checkpoint(&store, job, kind, it, stage, 0, dp).is_ok())
+                    .map(|dp| (dp, kind))
+            })
+        };
+        let best = (0..ITERATIONS).rev().find(|&it| (0..pp).all(|stage| first_valid(stage, it).is_some()));
+        let rank = RankId(pick.index(layout.world_size()) as u32);
+        let coord = layout.coord(rank);
+        let loaded = load_for_rank_parallel(&store, job, &layout, rank, &RestoreConfig::default());
+        match (checkpoint::assemble(&store, job, &layout), best) {
+            (Ok(plan), Some(it)) => {
+                for stage in 0..pp {
+                    let (dp, kind) = first_valid(stage, it).unwrap();
+                    let want = checkpoint::CellChoice { iteration: it, dp, kind };
+                    prop_assert_eq!(plan[&(stage, 0)], want);
+                }
+                let choice = plan[&(coord.stage, coord.part)];
+                let (want_state, want_meta) = checkpoint::read_checkpoint(
+                    &store, job, choice.kind, it, coord.stage, coord.part, choice.dp,
+                ).unwrap();
+                let (state, meta, stats) = loaded.unwrap();
+                prop_assert_eq!(state, want_state);
+                prop_assert_eq!(stats.shard_reads, meta.shards.len() as u64);
+                prop_assert_eq!(meta, want_meta);
+            }
+            (Err(e), None) => {
+                let none = format!("no iteration has a complete checkpoint for every cell of {job}");
+                prop_assert!(e.to_string().contains(&none), "{e}");
+                prop_assert_eq!(loaded.unwrap_err().to_string(), e.to_string());
+            }
+            (Ok(plan), None) => prop_assert!(false, "assembled {plan:?} with no valid common iteration"),
+            (Err(e), Some(it)) => prop_assert!(false, "failed ({e}) though iteration {it} is valid everywhere"),
+        }
+    }
+}
+
+/// How a property case damages one written checkpoint replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tear {
+    None,
+    /// One of the checkpoint's own shard objects has a flipped byte.
+    FlipByte,
+    /// One of its own shard objects is gone.
+    DeleteShard,
+    /// An object it reads through a delta reference is gone (no-op
+    /// when it references none).
+    DeleteBase,
+    /// The sidecar landed but none of the shards did.
+    SidecarOnly,
+}
+
+/// Iterations a property case writes, from 0.
+const ITERATIONS: u64 = 5;
+
+/// Tears for a first replica; untorn is three times as likely as each
+/// tear, so multi-cell cases still share valid iterations.
+const TEARS: [Tear; 7] = [
+    Tear::None,
+    Tear::None,
+    Tear::None,
+    Tear::FlipByte,
+    Tear::DeleteShard,
+    Tear::DeleteBase,
+    Tear::SidecarOnly,
+];
+
+/// A second dp replica: absent, or written with a tear.
+const REPLICAS: [Option<Tear>; 6] = [
+    None,
+    Some(Tear::None),
+    Some(Tear::FlipByte),
+    Some(Tear::DeleteShard),
+    Some(Tear::DeleteBase),
+    Some(Tear::SidecarOnly),
+];
+
+/// Shards small enough that one state spans several and most of them
+/// carry over unchanged, as delta references, between iterations.
+const TINY_SHARDS: checkpoint::ShardConfig = checkpoint::ShardConfig {
+    shard_bytes: 16,
+    workers: 1,
+    delta: true,
+    max_delta_chain: checkpoint::DEFAULT_MAX_DELTA_CHAIN,
+};
+
+fn tear_state(stage: usize, it: u64) -> TrainState {
+    TrainState {
+        iteration: it,
+        opt_t: it as u32,
+        buffers: vec![
+            ("w".into(), BufferTag::Param, vec![stage as f32 + 1.0; 24]),
+            ("m".into(), BufferTag::OptimState, vec![it as f32; 2]),
+        ],
+        logical_bytes: 104,
+    }
+}
+
+fn tear_checkpoint(
+    store: &SharedStore,
+    (stage, kind, dp, it): (usize, CkptKind, usize, u64),
+    tear: Tear,
+) {
+    let job = JobId(0);
+    let meta = checkpoint::read_meta(store, job, kind, it, stage, 0, dp).unwrap();
+    let own = meta
+        .shards
+        .iter()
+        .find(|s| s.base_iteration.is_none())
+        .unwrap();
+    let own_path = checkpoint::shard_path(job, kind, it, stage, 0, dp, own.index);
+    match tear {
+        Tear::None => {}
+        Tear::FlipByte => store.corrupt(&own_path).unwrap(),
+        Tear::DeleteShard => store.delete(&own_path),
+        Tear::DeleteBase => {
+            if let Some(s) = meta.shards.iter().find(|s| s.base_iteration.is_some()) {
+                let base = s.base_iteration.unwrap();
+                store.delete(checkpoint::shard_path(
+                    job, kind, base, stage, 0, dp, s.index,
+                ));
+            }
+        }
+        Tear::SidecarOnly => {
+            let prefix = checkpoint::checkpoint_prefix(job, kind, it, stage, 0, dp);
+            for path in store.list(&prefix) {
+                if !path.ends_with("/meta") {
+                    store.delete(&path);
+                }
+            }
         }
     }
 }

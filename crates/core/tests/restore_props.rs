@@ -9,8 +9,9 @@ use bytes::Bytes;
 use cluster::{SharedStore, StorageBackend};
 use dltrain::TrainState;
 use jitckpt::checkpoint::{self, CkptKind, ShardConfig};
-use jitckpt::restore::{read_checkpoint_parallel, RestoreConfig};
+use jitckpt::restore::{load_for_rank_parallel, read_checkpoint_parallel, RestoreConfig};
 use proptest::prelude::*;
+use simcore::layout::ParallelLayout;
 use simcore::{JobId, RankId, SimResult};
 use simgpu::BufferTag;
 use std::collections::BTreeSet;
@@ -274,4 +275,47 @@ proptest! {
         prop_assert_eq!(bits(&back), bits(&s));
         prop_assert_eq!(stats.shard_reads, meta.shards.len() as u64);
     }
+}
+
+/// A restore reads what it returns once and nothing older. With several
+/// valid iterations stored, `load_for_rank_parallel` costs the newest
+/// checkpoint's shard gets plus its sidecar get. With the newest torn,
+/// it costs that candidate's read plus one good read of the next.
+#[test]
+fn restore_reads_only_the_newest_valid_checkpoint() -> SimResult<()> {
+    let store = SharedStore::new();
+    let layout = ParallelLayout::data_parallel(1);
+    for it in 1..=4 {
+        write(&store, &state_from(vec![it as f32; 48], it), &cfg(32, 2));
+    }
+    let cost = |it: u64| -> SimResult<u64> {
+        let meta = checkpoint::read_meta(&store, JobId(0), CkptKind::Jit, it, 0, 0, 0)?;
+        Ok(meta.shards.len() as u64 + 1)
+    };
+    let (newest, next) = (cost(4)?, cost(3)?);
+    assert!(newest > 2, "want a multi-shard checkpoint");
+    let load = || {
+        let before = store.read_count();
+        let cfg = RestoreConfig::default();
+        let (state, _, stats) = load_for_rank_parallel(&store, JobId(0), &layout, RankId(0), &cfg)?;
+        SimResult::Ok((
+            state.iteration,
+            stats.shard_reads,
+            store.read_count() - before,
+        ))
+    };
+
+    assert_eq!(load()?, (4, newest - 1, newest));
+
+    store.corrupt(checkpoint::shard_path(
+        JobId(0),
+        CkptKind::Jit,
+        4,
+        0,
+        0,
+        0,
+        1,
+    ))?;
+    assert_eq!(load()?, (3, next - 1, newest + next));
+    Ok(())
 }

@@ -45,4 +45,17 @@ cargo run --release --quiet -p bench --bin store_bench -- 1 2 target/BENCH_store
 grep -q '"restore": \[' target/BENCH_store.smoke.json \
     || { echo 'check.sh: store_bench smoke output lacks the restore section' >&2; exit 1; }
 
+echo '==> e2ebench tests (its own workspace)'
+cargo test --offline --manifest-path e2ebench/Cargo.toml --quiet
+
+echo '==> e2ebench correctness smoke (3 s per workload, every check runs)'
+for w in user-jit transparent-jit fleet-persist; do
+    last=$(cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct": true'*) echo "    $w: correct" ;;
+        *) echo "check.sh: e2ebench $w smoke is not correct: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo 'check.sh: all gates passed'
